@@ -1,8 +1,8 @@
 // Command liquid-bench runs the experiment suite that reproduces the
-// paper's claims (see DESIGN.md §4 for the experiment index and
-// EXPERIMENTS.md for recorded results). Each experiment prints a table;
-// absolute numbers are machine-dependent, the shapes are the reproduction
-// target.
+// paper's claims (see the internal/bench section of docs/ARCHITECTURE.md
+// for the experiment index and the committed BENCH_<exp>.json files for
+// recorded results). Each experiment prints a table; absolute numbers are
+// machine-dependent, the shapes are the reproduction target.
 //
 // Every experiment also writes a machine-readable BENCH_<exp>.json file
 // (identity, structured results, rendered rows) so the performance

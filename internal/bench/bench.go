@@ -34,7 +34,7 @@ type Table struct {
 	Results []Result
 }
 
-// Render formats the table for terminals and EXPERIMENTS.md.
+// Render formats the table for terminals and logs.
 func (t *Table) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", t.ID, t.Title)
@@ -75,7 +75,8 @@ func (t *Table) Render() string {
 }
 
 // Scale selects experiment sizing: Quick keeps every experiment under a
-// few seconds for CI; Full uses the sizes recorded in EXPERIMENTS.md.
+// few seconds for CI; Full uses the sizes behind the committed
+// BENCH_<exp>.json results.
 type Scale struct {
 	Quick bool
 }

@@ -345,18 +345,6 @@ func TestConsumerGroupQueueAndPubSubSemantics(t *testing.T) {
 	c := tc.newClient(t)
 	createTopic(t, c, "work", 4, 1)
 
-	p := client.NewProducer(c, client.ProducerConfig{})
-	defer p.Close()
-	const total = 80
-	for i := 0; i < total; i++ {
-		if err := p.Send(client.Message{Topic: "work", Value: []byte(fmt.Sprintf("m%d", i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
 	groupCfg := func(group string) client.GroupConfig {
 		return client.GroupConfig{
 			Group:             group,
@@ -381,6 +369,49 @@ func TestConsumerGroupQueueAndPubSubSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g2.Close()
+
+	// Form g1 before producing. A member that joins after the other has
+	// started consuming triggers a rebalance, and without commits the
+	// partitions it takes over are re-read from the start: the
+	// redelivery a rebalance allows, not the queue semantics under test.
+	// Members join from their own Poll loops: a join blocks until every
+	// known member has joined too.
+	var formed atomic.Bool
+	var fwg sync.WaitGroup
+	for _, g := range []*client.GroupConsumer{g1a, g1b} {
+		fwg.Add(1)
+		go func(g *client.GroupConsumer) {
+			defer fwg.Done()
+			for !formed.Load() {
+				g.Poll(50 * time.Millisecond)
+			}
+		}(g)
+	}
+	formDeadline := time.Now().Add(15 * time.Second)
+	for !(g1a.Generation() == g1b.Generation() &&
+		len(g1a.Assignment()["work"]) > 0 && len(g1b.Assignment()["work"]) > 0) {
+		if time.Now().After(formDeadline) {
+			formed.Store(true)
+			fwg.Wait()
+			t.Fatalf("g1 never formed: generations %d/%d, assignments %v/%v",
+				g1a.Generation(), g1b.Generation(), g1a.Assignment(), g1b.Assignment())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	formed.Store(true)
+	fwg.Wait()
+
+	p := client.NewProducer(c, client.ProducerConfig{})
+	defer p.Close()
+	const total = 80
+	for i := 0; i < total; i++ {
+		if err := p.Send(client.Message{Topic: "work", Value: []byte(fmt.Sprintf("m%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
 	var mu sync.Mutex
 	g1Seen := make(map[string]int)

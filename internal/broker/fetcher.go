@@ -17,6 +17,7 @@ type fetcherManager struct {
 
 	mu       sync.Mutex
 	fetchers map[int32]*replicaFetcher
+	stopped  bool // stopAll ran: the broker is shutting down
 }
 
 func newFetcherManager(b *Broker) *fetcherManager {
@@ -28,6 +29,11 @@ func newFetcherManager(b *Broker) *fetcherManager {
 func (m *fetcherManager) assign(t tp, leaderID int32) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.stopped {
+		// A state update racing shutdown must not start a fetcher that
+		// stopAll has already missed.
+		return
+	}
 	for id, f := range m.fetchers {
 		if id != leaderID {
 			f.removePartition(t)
@@ -60,6 +66,7 @@ func (m *fetcherManager) stopAll() {
 		fetchers = append(fetchers, f)
 	}
 	m.fetchers = make(map[int32]*replicaFetcher)
+	m.stopped = true
 	m.mu.Unlock()
 	for _, f := range fetchers {
 		f.stopAndWait()

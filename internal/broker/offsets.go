@@ -104,10 +104,11 @@ func (o *offsetManager) load(partition int32, r *replica) {
 			return nil
 		})
 	}
+	keys := len(state) // read before publishing: commits write the map after
 	o.mu.Lock()
 	o.byPart[partition] = state
 	o.mu.Unlock()
-	o.b.logger.Debug("offset manager loaded", "partition", partition, "keys", len(state))
+	o.b.logger.Debug("offset manager loaded", "partition", partition, "keys", keys)
 }
 
 // unload drops in-memory state for a partition whose leadership moved away.

@@ -5,9 +5,9 @@ package broker
 // (internal/obs). Everything here is stdlib-only and designed to stay off
 // the hot path: families are pre-resolved once at startup so a request
 // records into child metrics via one RLock map hit, and the gauge families
-// that require walking broker state (replication lag, group lag, checkpoint
-// age, table freshness) are rebuilt by a 1s housekeeping tick instead of
-// being computed per scrape.
+// that require walking broker state (replication lag, group lag, WAL
+// durability lag, table freshness) are rebuilt by a 1s housekeeping tick
+// instead of being computed per scrape.
 
 import (
 	"errors"
@@ -31,9 +31,10 @@ const (
 	slowLogWindow   = 10 * time.Minute
 )
 
-// walHealthLag is the WAL checkpoint age beyond which /healthz degrades:
-// a log that has carried unsynced bytes for this long means the sync loop
-// is wedged or the disk has stalled.
+// walHealthLag is the durability lag (Log.DurabilityLag: how long the
+// oldest unsynced append has waited for its fsync) beyond which /healthz
+// degrades: a log that has carried unsynced bytes for this long means the
+// sync loop is wedged or the disk has stalled.
 const walHealthLag = 5 * time.Second
 
 // brokerMetrics pre-resolves every labeled family the request path and the
@@ -58,7 +59,7 @@ type brokerMetrics struct {
 	replicaLagOffsets *metrics.GaugeFamily // broker.replica.lag.offsets{broker,topic,partition,follower}
 	replicaLagMs      *metrics.GaugeFamily // broker.replica.lag.ms{broker,topic,partition,follower}
 	groupLag          *metrics.GaugeFamily // broker.group.lag{broker,group,topic,partition}
-	checkpointAgeMs   *metrics.GaugeFamily // log.checkpoint.age.ms{broker,topic,partition}
+	durabilityLagMs   *metrics.GaugeFamily // log.checkpoint.age.ms{broker,topic,partition}: Log.DurabilityLag, not the checkpoint's age
 	tableLag          *metrics.GaugeFamily // broker.table.lag.offsets{broker,topic,partition}
 	tableApplied      *metrics.GaugeFamily // broker.table.applied.offset{broker,topic,partition}
 
@@ -80,7 +81,7 @@ func newBrokerMetrics(reg *metrics.Registry, brokerID int32, now func() time.Tim
 		replicaLagOffsets: reg.GaugeFamily("broker.replica.lag.offsets", "broker", "topic", "partition", "follower"),
 		replicaLagMs:      reg.GaugeFamily("broker.replica.lag.ms", "broker", "topic", "partition", "follower"),
 		groupLag:          reg.GaugeFamily("broker.group.lag", "broker", "group", "topic", "partition"),
-		checkpointAgeMs:   reg.GaugeFamily("log.checkpoint.age.ms", "broker", "topic", "partition"),
+		durabilityLagMs:   reg.GaugeFamily("log.checkpoint.age.ms", "broker", "topic", "partition"),
 		tableLag:          reg.GaugeFamily("broker.table.lag.offsets", "broker", "topic", "partition"),
 		tableApplied:      reg.GaugeFamily("broker.table.applied.offset", "broker", "topic", "partition"),
 		slowlog:           obs.NewSlowLog(slowLogCapacity, slowLogWindow),
@@ -94,7 +95,7 @@ func newBrokerMetrics(reg *metrics.Registry, brokerID int32, now func() time.Tim
 func (m *brokerMetrics) purge() {
 	m.replicaLagOffsets.DeleteWhere("broker", m.id)
 	m.replicaLagMs.DeleteWhere("broker", m.id)
-	m.checkpointAgeMs.DeleteWhere("broker", m.id)
+	m.durabilityLagMs.DeleteWhere("broker", m.id)
 	m.groupLag.DeleteWhere("broker", m.id)
 	m.tableLag.DeleteWhere("broker", m.id)
 	m.tableApplied.DeleteWhere("broker", m.id)
@@ -246,8 +247,8 @@ func respErrorCodes(resp wire.Message) []wire.ErrorCode {
 // ------------------------------------------------------------ ops tick
 
 // opsTick rebuilds the gauge families that mirror broker state: replication
-// lag per follower, consumer-group lag per committed stream, WAL checkpoint
-// age and table-materializer freshness. Delete+rebuild (rather than
+// lag per follower, consumer-group lag per committed stream, WAL durability
+// lag and table-materializer freshness. Delete+rebuild (rather than
 // incremental updates) is what retires tuples for partitions or groups this
 // broker stopped hosting — a stale gauge is worse than a missing one. The
 // deletion is scoped to this broker's own label so concurrent ticks from
@@ -260,7 +261,7 @@ func (b *Broker) opsTick(now time.Time) {
 
 	m.replicaLagOffsets.DeleteWhere("broker", m.id)
 	m.replicaLagMs.DeleteWhere("broker", m.id)
-	m.checkpointAgeMs.DeleteWhere("broker", m.id)
+	m.durabilityLagMs.DeleteWhere("broker", m.id)
 	for _, r := range b.replicaSnapshot() {
 		topic, part := r.tp.topic, strconv.Itoa(int(r.tp.partition))
 		for _, f := range r.followerLags(now) {
@@ -268,7 +269,7 @@ func (b *Broker) opsTick(now time.Time) {
 			m.replicaLagOffsets.With(m.id, topic, part, fl).Set(f.offsets)
 			m.replicaLagMs.With(m.id, topic, part, fl).Set(f.ms)
 		}
-		m.checkpointAgeMs.With(m.id, topic, part).Set(r.log.DurabilityLag(now).Milliseconds())
+		m.durabilityLagMs.With(m.id, topic, part).Set(r.log.DurabilityLag(now).Milliseconds())
 	}
 
 	m.groupLag.DeleteWhere("broker", m.id)

@@ -329,22 +329,48 @@ func (p *Producer) flushOnce() error {
 			if len(recs) == 0 {
 				continue
 			}
-			if _, err := p.produce(topic, partition, recs); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				if p.cfg.OnError != nil {
-					for _, r := range recs {
-						p.cfg.OnError(Message{
-							Topic: topic, Partition: partition,
-							Key: r.Key, Value: r.Value, Timestamp: r.Timestamp,
-						}, err)
+			for _, run := range frameRuns(recs) {
+				if _, err := p.produce(topic, partition, run); err != nil {
+					if firstErr == nil {
+						firstErr = err
+					}
+					if p.cfg.OnError != nil {
+						for _, r := range run {
+							p.cfg.OnError(Message{
+								Topic: topic, Partition: partition,
+								Key: r.Key, Value: r.Value, Timestamp: r.Timestamp,
+							}, err)
+						}
 					}
 				}
 			}
 		}
 	}
 	return firstErr
+}
+
+// maxRequestBatchBytes bounds the encoded batch one produce request
+// carries. The request wraps the batch in its header, topic and partition
+// fields, so 1 MiB of the frame is left for them: a frame over
+// wire.MaxFrameSize is refused, and every record in it would be lost.
+const maxRequestBatchBytes = wire.MaxFrameSize - 1<<20
+
+// frameRuns cuts a partition's pending records into consecutive runs whose
+// encoded batch fits maxRequestBatchBytes, in order. Records that already
+// fit come back as one run. A single record too large for any frame is a
+// run of its own; its produce fails and is reported like any other.
+func frameRuns(recs []record.Record) [][]record.Record {
+	var runs [][]record.Record
+	start, size := 0, record.HeaderLen
+	for i := range recs {
+		n := record.EncodedSize(&recs[i])
+		if i > start && size+n > maxRequestBatchBytes {
+			runs = append(runs, recs[start:i])
+			start, size = i, record.HeaderLen
+		}
+		size += n
+	}
+	return append(runs, recs[start:])
 }
 
 // noteThrottle records a ThrottleTimeMs verdict from a produce response.

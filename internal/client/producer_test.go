@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/storage/record"
 	"repro/internal/wire"
 )
 
@@ -20,7 +21,8 @@ type fakeBroker struct {
 
 	produceStarted chan struct{} // signalled when a produce request arrives
 	releaseProduce chan struct{} // closed to let produce responses flow
-	produced       atomic.Int64  // records acked so far
+	produced       atomic.Int64  // partition batches acked so far
+	records        atomic.Int64  // records in those batches
 	failProduces   atomic.Int32  // produce attempts to fail with not-leader
 }
 
@@ -104,6 +106,9 @@ func (f *fakeBroker) serve(conn net.Conn) {
 				rt := wire.ProduceRespTopic{Name: t.Name}
 				for _, p := range t.Partitions {
 					n++
+					if info, err := record.PeekBatchInfo(p.Records); err == nil {
+						f.records.Add(int64(info.RecordCount))
+					}
 					rt.Partitions = append(rt.Partitions, wire.ProduceRespPartition{
 						Partition: p.Partition, BaseOffset: 0,
 					})
@@ -306,5 +311,56 @@ func TestProducerHonorsThrottle(t *testing.T) {
 	// Delay records the wall-clock wait actually honored.
 	if st := p.Throttled(); st.Delay < 45*time.Millisecond {
 		t.Fatalf("Throttled() = %+v, want Delay >= ~50ms", st)
+	}
+}
+
+// TestUnpacedSendOverMaxFrameDeliversEverything: when records are buffered
+// faster than they are flushed, one partition's drain can hold more than a
+// frame's worth. The flush must split it into requests under
+// wire.MaxFrameSize: every record is delivered and none reaches OnError.
+func TestUnpacedSendOverMaxFrameDeliversEverything(t *testing.T) {
+	f := startFakeBroker(t)
+	close(f.releaseProduce)
+	c, err := New(Config{Bootstrap: []string{f.addr}, MetadataTTL: time.Hour})
+	if err != nil {
+		t.Fatalf("client: %v", err)
+	}
+	t.Cleanup(c.Close)
+	var failed atomic.Int64
+	p := NewProducer(c, ProducerConfig{
+		BatchBytes: 1 << 30,   // no size-triggered flush: one drain takes everything
+		Linger:     time.Hour, // nor a linger tick
+		OnError:    func(Message, error) { failed.Add(1) },
+	})
+	value := make([]byte, 64<<10)
+	n := wire.MaxFrameSize/len(value) + 64 // 68 MiB of values
+	for i := 0; i < n; i++ {
+		if err := p.Send(Message{Topic: "t", Value: value}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if got := f.records.Load(); got != int64(n) {
+		t.Fatalf("broker received %d records, want %d", got, n)
+	}
+	if got := failed.Load(); got != 0 {
+		t.Fatalf("OnError called for %d records, want 0", got)
+	}
+	if got := f.produced.Load(); got < 2 {
+		t.Fatalf("%d produce requests carried %d MiB, want it split", got, n*len(value)>>20)
+	}
+}
+
+// TestFrameRunsKeepsFittingDrainWhole: a drain under the frame limit goes
+// out as the one request it always was.
+func TestFrameRunsKeepsFittingDrainWhole(t *testing.T) {
+	recs := make([]record.Record, 1000)
+	for i := range recs {
+		recs[i].Value = make([]byte, 1024)
+	}
+	if runs := frameRuns(recs); len(runs) != 1 || len(runs[0]) != len(recs) {
+		t.Fatalf("frameRuns split a 1 MiB drain into %d runs", len(runs))
 	}
 }

@@ -77,9 +77,10 @@ type Durability struct {
 	// assert the observable sync behaviour of each policy; benchmarks
 	// inject a modeled disk barrier.
 	Syncer func(*os.File) error
-	// CheckpointHook, when set, runs before each checkpoint file write; a
-	// non-nil error skips the write. Crash tests use it to simulate dying
-	// between the fdatasync and the checkpoint update.
+	// CheckpointHook, when set, runs before each recovery-point write (the
+	// checkpoint file plus the producer snapshot); a non-nil error skips the
+	// write. Crash tests use it to simulate dying between the fdatasync and
+	// the checkpoint update, and to count recovery-point writes.
 	CheckpointHook func() error
 }
 
@@ -251,7 +252,7 @@ func (l *Log) groupLoop() {
 			t.Stop()
 		case <-t.C:
 		}
-		l.syncNow()
+		l.commit(false)
 	}
 }
 
@@ -265,18 +266,26 @@ func (l *Log) intervalLoop() {
 		case <-l.stopSync:
 			return
 		case <-t.C:
-			l.syncNow()
+			l.commit(false)
 		}
 	}
 }
 
-// syncNow makes everything appended so far durable: one fdatasync of the
-// active segment covers every batch since the last sync (rolled segments are
-// synced at roll time), then the checkpoint records the new frontier so
-// recovery scans only bytes written after it. The fsync itself runs outside
-// l.mu — appends proceed concurrently; anything they add is simply not
-// covered until the next sync.
-func (l *Log) syncNow() error {
+// Flush fsyncs the active segment, advances the durability frontier, and
+// persists a recovery point (see recoveryPoint).
+func (l *Log) Flush() error { return l.commit(true) }
+
+// commit is one group commit (or, with flush, an explicit Flush): a single
+// fdatasync of the active segment covers every batch appended since the last
+// sync (rolled segments are synced at roll time), and the acks parked behind
+// it are released as soon as it lands. A recovery point rides on the sync
+// only when it changes what recovery may trust: on the first sync after a
+// roll or a truncate (cpDue), or on an explicit Flush. Other group commits
+// are the fdatasync alone. Acks never wait for the recovery point: the
+// frontier advances before it is written. The fsync itself runs outside l.mu
+// — appends proceed concurrently; anything they add is simply not covered
+// until the next sync.
+func (l *Log) commit(flush bool) error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 	l.mu.Lock()
@@ -284,15 +293,18 @@ func (l *Log) syncNow() error {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	if !l.dirty {
+	if !l.dirty && !flush {
 		l.mu.Unlock()
 		return nil
 	}
 	a := l.active()
-	f := a.file
-	cp := checkpoint{base: a.baseOffset, pos: a.size, next: a.nextOffset}
-	psnap := l.snapshotProducersLocked()
-	gen := l.truncGen
+	f, next, gen := a.file, a.nextOffset, l.truncGen
+	var rp *recoveryPoint
+	if l.recoveryPoints && (flush || l.cpDue) {
+		p := l.recoveryPointLocked()
+		rp = &p
+		l.cpDue = false
+	}
 	batched := l.unsyncedBytes
 	l.dirty = false
 	l.dirtySinceNano.Store(0)
@@ -312,27 +324,26 @@ func (l *Log) syncNow() error {
 			// to every parked ack and retry on the next kick.
 			l.dirty = true
 			l.dirtySinceNano.CompareAndSwap(0, time.Now().UnixNano())
+			l.cpDue = l.cpDue || rp != nil
 			l.failSyncWaitersLocked(err)
 		}
 		l.mu.Unlock()
 		return err
 	}
-	l.persistCheckpoint(cp, gen)
-	// The producer snapshot rides alongside the checkpoint: it describes
-	// the same synced prefix, so recovery can seed the dedup table and
-	// rescan only the tail the checkpoint does not cover.
-	l.persistProducerSnapshot(psnap, gen)
 	l.mu.Lock()
 	if l.truncGen == gen {
-		l.advanceSyncedLocked(cp.next)
+		l.advanceSyncedLocked(next)
 	}
 	l.mu.Unlock()
 	l.lastSyncNano.Store(time.Now().UnixNano())
+	if rp != nil {
+		l.persistRecoveryPoint(*rp, gen)
+	}
 	return nil
 }
 
-// LastSyncTime returns when the log last made its contents durable (sync +
-// checkpoint, or recovery at open). The zero time means never.
+// LastSyncTime returns when the log last made its contents durable (a sync,
+// or recovery at open). The zero time means never.
 func (l *Log) LastSyncTime() time.Time {
 	n := l.lastSyncNano.Load()
 	if n == 0 {
@@ -372,27 +383,6 @@ func checkpointCRC(cp checkpoint) uint32 {
 	return crc32.ChecksumIEEE([]byte(fmt.Sprintf("%d %d %d", cp.base, cp.pos, cp.next)))
 }
 
-func writeCheckpointFile(dir string, cp checkpoint) error {
-	payload := fmt.Sprintf("liquidcp v1 %d %d %d %d\n", cp.base, cp.pos, cp.next, checkpointCRC(cp))
-	tmp := filepath.Join(dir, checkpointFile+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteString(payload); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, checkpointFile))
-}
-
 func readCheckpointFile(dir string) (checkpoint, bool) {
 	b, err := os.ReadFile(filepath.Join(dir, checkpointFile))
 	if err != nil {
@@ -409,11 +399,44 @@ func readCheckpointFile(dir string) (checkpoint, bool) {
 	return cp, true
 }
 
-// persistCheckpoint writes the checkpoint file unless a truncation (or
-// close) has invalidated the snapshot since it was taken — a stale
-// checkpoint would let recovery trust bytes a truncate has since rewritten.
-// Never call while holding l.mu (cpMu is acquired before l.mu here).
-func (l *Log) persistCheckpoint(cp checkpoint, gen uint64) error {
+// recoveryPoint is what a restart may trust without rescanning: the
+// checkpointed durability frontier plus the producer table as of it. Both
+// are advisory — recovery trusts bytes below the checkpoint and CRC-scans
+// and header-walks everything beyond it — so a stale recovery point only
+// lengthens the scan. It is persisted on the first sync after a segment
+// roll (which vouches for every sealed segment, so the scan after a crash
+// stays within about one segment), after a truncate, on Flush, Close and
+// Open; never for compacted logs, whose Open ignores both files.
+type recoveryPoint struct {
+	cp        checkpoint
+	producers []byte // encoded producer snapshot covering cp.next
+}
+
+// recoveryPointLocked captures the recovery point of the current log end.
+// The caller must make the active segment durable before persisting it.
+func (l *Log) recoveryPointLocked() recoveryPoint {
+	a := l.active()
+	return recoveryPoint{
+		cp:        checkpoint{base: a.baseOffset, pos: a.size, next: a.nextOffset},
+		producers: encodeProducerSnapshot(l.producers, a.nextOffset),
+	}
+}
+
+// persistRecoveryPoint writes rp unless a truncation (or compaction) has
+// invalidated it since it was captured at gen — a stale checkpoint would let
+// recovery trust bytes the surgery has since rewritten. A failed write
+// re-arms cpDue so the next sync retries it. Never call while holding l.mu
+// (cpMu is acquired before l.mu here).
+func (l *Log) persistRecoveryPoint(rp recoveryPoint, gen uint64) (err error) {
+	defer func() { // runs after cpMu is released
+		if err != nil {
+			l.mu.Lock()
+			if l.truncGen == gen {
+				l.cpDue = true
+			}
+			l.mu.Unlock()
+		}
+	}()
 	if hook := l.cfg.Durability.CheckpointHook; hook != nil {
 		if err := hook(); err != nil {
 			return err
@@ -427,7 +450,41 @@ func (l *Log) persistCheckpoint(cp checkpoint, gen uint64) error {
 	if stale {
 		return nil
 	}
-	return writeCheckpointFile(l.dir, cp)
+	cp := rp.cp
+	line := fmt.Sprintf("liquidcp v1 %d %d %d %d\n", cp.base, cp.pos, cp.next, checkpointCRC(cp))
+	if err := commitFile(l.dir, checkpointFile, []byte(line)); err != nil {
+		return err
+	}
+	return commitFile(l.dir, producerSnapshotFile, rp.producers)
+}
+
+// commitFile replaces dir/name with data crash-atomically: write a tmp file,
+// fsync it, rename it over name, then fsync dir so the rename itself is
+// durable.
+func commitFile(dir, name string, data []byte) error {
+	tmp := filepath.Join(dir, name+".tmp")
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
+		return err
+	}
+	return syncDir(dir)
 }
 
 // CheckpointInfo is the persisted durability frontier of a log directory.

@@ -198,8 +198,8 @@ func TestSyncPolicyMatrix(t *testing.T) {
 // TestCheckpointTrustedPrefixSkipsScan proves recovery honours the
 // checkpoint in both directions: bytes below the checkpointed frontier are
 // trusted without a CRC scan (corruption there goes unnoticed — exactly the
-// "scan only the unsynced tail" contract), while without a checkpoint the
-// full scan catches the same corruption and truncates at it.
+// "scan only the tail beyond the checkpoint" contract), while without a
+// checkpoint the full scan catches the same corruption and truncates at it.
 func TestCheckpointTrustedPrefixSkipsScan(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Durability: Durability{Policy: SyncGroup, GroupWindow: time.Millisecond}}
@@ -214,10 +214,14 @@ func TestCheckpointTrustedPrefixSkipsScan(t *testing.T) {
 		}
 		ends = append(ends, l.Segments()[0].Size)
 	}
-	waitDurable(t, l, 3)
+	// Flush persists a checkpoint covering all three batches (a plain group
+	// commit within one segment does not).
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	cp, ok := ReadCheckpoint(dir)
 	if !ok {
-		t.Fatal("no checkpoint after group commit")
+		t.Fatal("no checkpoint after Flush")
 	}
 	if cp.SyncedNext != 3 || cp.SyncedBytes != ends[2] {
 		t.Fatalf("checkpoint = %+v, want next=3 bytes=%d", cp, ends[2])
@@ -271,9 +275,11 @@ func TestCheckpointTrustedPrefixSkipsScan(t *testing.T) {
 
 // TestCrashRecoveryUnsyncedTailTruncated models the real crash: group-commit
 // acks some batches, more arrive unsynced, the process dies and the page
-// cache is lost (file surgery truncates back to the checkpointed frontier
-// and leaves torn garbage). Recovery must keep every acked batch, truncate
-// exactly the unsynced torn tail, and never duplicate offsets.
+// cache is lost (file surgery truncates back to the segment size at the
+// moment the acks were released and leaves torn garbage). The checkpoint
+// still describes the log at Open, so the acked batches lie beyond it:
+// recovery must CRC-scan them, keep every one, truncate exactly the
+// unsynced torn tail, and never duplicate offsets.
 func TestCrashRecoveryUnsyncedTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Durability: Durability{Policy: SyncGroup, GroupWindow: 2 * time.Millisecond}}
@@ -288,6 +294,7 @@ func TestCrashRecoveryUnsyncedTailTruncated(t *testing.T) {
 		}
 	}
 	waitDurable(t, l, int64(len(acked))) // acked: durable by contract
+	durable := l.Segments()[0].Size
 	// Unacked appends the crash may lose.
 	for i := 0; i < 2; i++ {
 		if _, err := l.Append([]record.Record{rec("", fmt.Sprintf("u%d", i))}); err != nil {
@@ -298,17 +305,13 @@ func TestCrashRecoveryUnsyncedTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cp, ok := ReadCheckpoint(dir)
-	if !ok {
-		t.Fatal("no checkpoint")
-	}
-	if cp.SyncedNext < int64(len(acked)) {
-		t.Fatalf("checkpoint next %d below acked %d: ack released before checkpoint", cp.SyncedNext, len(acked))
+	if cp, ok := ReadCheckpoint(dir); !ok || cp.SyncedNext >= int64(len(acked)) {
+		t.Fatalf("checkpoint = %+v, ok=%v; want the Open-time one, below the acked batches", cp, ok)
 	}
 	// The crash: unsynced page-cache bytes vanish, and the last in-flight
 	// write tears.
-	seg := segmentPath(dir, cp.SegmentBase)
-	if err := os.Truncate(seg, cp.SyncedBytes); err != nil {
+	seg := segmentPath(dir, 0)
+	if err := os.Truncate(seg, durable); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -325,16 +328,16 @@ func TestCrashRecoveryUnsyncedTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if got := l.NextOffset(); got != cp.SyncedNext {
-		t.Fatalf("recovered NextOffset = %d, want %d (exactly the synced frontier)", got, cp.SyncedNext)
+	if got := l.NextOffset(); got != int64(len(acked)) {
+		t.Fatalf("recovered NextOffset = %d, want %d (exactly the acked batches)", got, len(acked))
 	}
-	assertRecords(t, l, acked[:cp.SyncedNext])
+	assertRecords(t, l, acked)
 }
 
 // TestCrashBetweenFsyncAndCheckpoint kills the checkpoint write (via the
-// injection hook) after the fdatasync has landed: the stale checkpoint must
-// degrade recovery to a CRC scan of the tail — keeping every synced batch —
-// never lose acked data.
+// injection hook) after the fdatasync of a Flush has landed: the stale
+// checkpoint must degrade recovery to a CRC scan of the tail — keeping every
+// synced batch — never lose acked data.
 func TestCrashBetweenFsyncAndCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	var dropCheckpoints atomic.Bool
@@ -355,7 +358,9 @@ func TestCrashBetweenFsyncAndCheckpoint(t *testing.T) {
 	if _, err := l.Append([]record.Record{rec("", "early")}); err != nil {
 		t.Fatal(err)
 	}
-	waitDurable(t, l, 1) // checkpoint now covers offset 1
+	if err := l.Flush(); err != nil { // checkpoint now covers offset 1
+		t.Fatal(err)
+	}
 	dropCheckpoints.Store(true)
 	late := []string{"late0", "late1", "late2"}
 	for _, v := range late {
@@ -363,8 +368,12 @@ func TestCrashBetweenFsyncAndCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The fdatasync lands (acks release) but the checkpoint write "crashes".
+	// The group commit releases the acks; the Flush's fdatasync lands but
+	// its checkpoint write "crashes".
 	waitDurable(t, l, 4)
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if err := l.CrashClose(); err != nil {
 		t.Fatal(err)
 	}
@@ -373,6 +382,7 @@ func TestCrashBetweenFsyncAndCheckpoint(t *testing.T) {
 		t.Fatalf("checkpoint = %+v, ok=%v; want stale next=1", cp, ok)
 	}
 
+	dropCheckpoints.Store(false) // the restarted process writes checkpoints again
 	l, err = Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -382,6 +392,122 @@ func TestCrashBetweenFsyncAndCheckpoint(t *testing.T) {
 		t.Fatalf("recovered NextOffset = %d, want 4 (synced tail beyond stale checkpoint kept)", got)
 	}
 	assertRecords(t, l, append([]string{"early"}, late...))
+}
+
+// TestCheckpointCadence counts recovery-point writes (through
+// CheckpointHook) under SyncGroup: a group commit is the fdatasync alone,
+// except the first one after a segment roll or a truncate, which also
+// persists a recovery point; compacted logs never write one.
+func TestCheckpointCadence(t *testing.T) {
+	var hooks atomic.Int64
+	cs := &countingSyncer{}
+	cfg := Config{SegmentBytes: 4096, Durability: Durability{
+		Policy:         SyncGroup,
+		GroupWindow:    time.Millisecond,
+		Syncer:         cs.sync,
+		CheckpointHook: func() error { hooks.Add(1); return nil },
+	}}
+	dir := t.TempDir()
+	l, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	// commit appends one record and waits for its group commit; quiesce
+	// then waits for that commit's recovery-point write, which runs after
+	// the acks are released but before the committer lets go of syncMu.
+	commit := func(v string) {
+		t.Helper()
+		base, err := l.Append([]record.Record{rec("", v)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDurable(t, l, base+1)
+		l.syncMu.Lock()
+		l.syncMu.Unlock()
+	}
+	expect := func(stage string, want int64) {
+		t.Helper()
+		if got := hooks.Load(); got != want {
+			t.Fatalf("%s: %d recovery-point writes, want %d", stage, got, want)
+		}
+	}
+	expect("Open", 1)
+
+	syncs := cs.count()
+	for i := 0; i < 25; i++ {
+		commit(fmt.Sprintf("v%d", i))
+	}
+	if n := l.SegmentCount(); n != 1 {
+		t.Fatalf("segments = %d, want 1 (no roll yet)", n)
+	}
+	if n := cs.count() - syncs; n < 25 {
+		t.Fatalf("%d syncs for 25 sequential acked appends, want one group commit each", n)
+	}
+	expect("25 group commits without a roll", 1)
+
+	for i := 0; l.SegmentCount() == 1; i++ {
+		commit(fmt.Sprintf("r%d", i))
+	}
+	expect("first sync after a roll", 2)
+	cp, ok := ReadCheckpoint(dir)
+	if active := l.Segments()[1]; !ok || cp.SegmentBase != active.BaseOffset || cp.SyncedNext != active.NextOffset {
+		t.Fatalf("checkpoint after roll = %+v, ok=%v; want it to vouch for the sealed segment (active base %d, next %d)",
+			cp, ok, active.BaseOffset, active.NextOffset)
+	}
+	for i := 0; i < 5; i++ {
+		commit(fmt.Sprintf("w%d", i))
+	}
+	expect("later commits in the new segment", 2)
+
+	if err := l.Truncate(l.NextOffset() - 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ReadCheckpoint(dir); ok {
+		t.Fatal("checkpoint survived a truncation")
+	}
+	commit("t0")
+	expect("first sync after a truncate", 3)
+	if cp, ok := ReadCheckpoint(dir); !ok || cp.SyncedNext != l.NextOffset() {
+		t.Fatalf("checkpoint after truncate = %+v, ok=%v; want next=%d", cp, ok, l.NextOffset())
+	}
+	commit("t1")
+	expect("second sync after a truncate", 3)
+
+	// Compacted logs: Open ignores both files, so nothing writes them.
+	var compactedHooks atomic.Int64
+	ccfg := cfg
+	ccfg.Compacted = true
+	ccfg.Durability.CheckpointHook = func() error { compactedHooks.Add(1); return nil }
+	cdir := t.TempDir()
+	cl, err := Open(cdir, ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := compactedHooks.Load(); n != 0 {
+		t.Fatalf("compacted Open wrote %d recovery points, want 0", n)
+	}
+	for i := 0; cl.SegmentCount() == 1; i++ {
+		base, err := cl.Append([]record.Record{rec(fmt.Sprintf("k%d", i), "v")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDurable(t, cl, base+1)
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := compactedHooks.Load(); n != 0 {
+		t.Fatalf("compacted log wrote %d recovery points across a roll, Flush and Close, want 0", n)
+	}
+	for _, name := range []string{checkpointFile, producerSnapshotFile} {
+		if _, err := os.Stat(filepath.Join(cdir, name)); !os.IsNotExist(err) {
+			t.Fatalf("compacted log dir holds %s (stat err %v)", name, err)
+		}
+	}
 }
 
 // TestTruncateInvalidatesCheckpoint: follower reconciliation truncates the

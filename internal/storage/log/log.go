@@ -122,17 +122,23 @@ type Log struct {
 	unsyncedBytes int64        // bytes appended since the last sync
 	syncWaiters   []syncWaiter // acks parked behind the frontier (SyncGroup)
 	truncGen      uint64       // bumped by segment surgery; stales checkpoints
+	cpDue         bool         // the next sync persists a recovery point
 	syncKick      chan struct{}
 	syncUrgent    chan struct{}
 	stopSync      chan struct{}
 	stopOnce      sync.Once
 	syncWG        sync.WaitGroup
-	syncMu        sync.Mutex // serialises syncNow
-	cpMu          sync.Mutex // serialises checkpoint file writes/removal
+	syncMu        sync.Mutex // serialises commit
+	cpMu          sync.Mutex // serialises recovery-point file writes/removal
+
+	// recoveryPoints is set when the log persists recovery points: under an
+	// explicit sync policy, on logs that are not compacted (constant).
+	recoveryPoints bool
 
 	// met holds pre-resolved durability metrics (nil when Config.Metrics is
-	// unset). lastSyncNano/dirtySinceNano track checkpoint freshness for
-	// health checks; they are atomics so readers never take l.mu.
+	// unset). lastSyncNano/dirtySinceNano track sync freshness and the
+	// durability lag for health checks; they are atomics so readers never
+	// take l.mu.
 	met            *logMetrics
 	lastSyncNano   atomic.Int64
 	dirtySinceNano atomic.Int64
@@ -150,9 +156,10 @@ type logMetrics struct {
 // exists, recovery trusts the synced prefix it describes (segments sealed
 // before the checkpointed one were synced at roll time; the checkpointed
 // segment is synced up to the recorded byte position) and CRC-scans only the
-// unsynced tail beyond it, truncating torn writes. Without a checkpoint —
-// or on compacted logs, whose segment bytes are rewritten in place — every
-// batch is CRC-verified.
+// tail beyond it, truncating torn writes. Checkpoints are written on the
+// first sync after each roll, so that tail is about one segment at most.
+// Without a checkpoint — or on compacted logs, whose segment bytes are
+// rewritten in place — every batch is CRC-verified.
 func Open(dir string, cfg Config) (*Log, error) {
 	cfg = cfg.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -165,6 +172,8 @@ func Open(dir string, cfg Config) (*Log, error) {
 		syncKick:   make(chan struct{}, 1),
 		syncUrgent: make(chan struct{}, 1),
 		stopSync:   make(chan struct{}),
+
+		recoveryPoints: cfg.Durability.Policy != SyncNone && !cfg.Compacted,
 	}
 	if cfg.Metrics != nil {
 		l.met = &logMetrics{
@@ -203,6 +212,9 @@ func Open(dir string, cfg Config) (*Log, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := syncDir(dir); err != nil {
+			return nil, fmt.Errorf("log: sync dir: %w", err)
+		}
 		l.segments = []*segment{s}
 	}
 	l.startOffset = l.segments[0].baseOffset
@@ -211,34 +223,35 @@ func Open(dir string, cfg Config) (*Log, error) {
 	if so, err := readStartOffset(dir); err == nil && so > l.startOffset {
 		l.startOffset = so
 	}
-	if cfg.Durability.Policy != SyncNone {
-		// Make the recovered state durable before serving: the tail beyond
-		// the old checkpoint survived the crash, but nothing proves it was
-		// ever synced — one fsync plus a fresh checkpoint re-establishes
-		// the invariant that everything on disk is the frontier.
-		a := l.active()
-		if err := l.syncFile(a.file); err != nil {
-			return nil, fmt.Errorf("log: sync recovered state: %w", err)
-		}
-		if err := writeCheckpointFile(dir, checkpoint{base: a.baseOffset, pos: a.size, next: a.nextOffset}); err != nil {
-			return nil, fmt.Errorf("log: write checkpoint: %w", err)
-		}
-	}
-	l.syncedNext = l.active().nextOffset
-	// Everything recovered is durable (or freshly re-synced above): the
-	// checkpoint-freshness clock starts now.
-	l.lastSyncNano.Store(time.Now().UnixNano())
 	// Rebuild the producer table. A valid snapshot (written alongside the
 	// checkpoint) seeds the state it covered; batch headers beyond its
-	// coverage — the recovered unsynced tail — are rescanned. Without a
-	// usable snapshot, or on compacted logs whose bytes are rewritten in
-	// place, the whole local log is header-walked.
+	// coverage — the recovered tail — are rescanned. Without a usable
+	// snapshot, or on compacted logs whose bytes are rewritten in place, the
+	// whole local log is header-walked.
 	rebuildFrom := l.startOffset
 	if ps, psNext, ok := readProducerSnapshotFile(dir); ok && !cfg.Compacted && psNext <= l.active().nextOffset {
 		l.producers = ps
 		rebuildFrom = psNext
 	}
 	l.rebuildProducersLocked(rebuildFrom)
+	if cfg.Durability.Policy != SyncNone {
+		// Make the recovered state durable before serving: the tail beyond
+		// the old checkpoint survived the crash, but nothing proves it was
+		// ever synced — one fsync plus a fresh recovery point re-establishes
+		// the invariant that everything on disk is the frontier.
+		if err := l.syncFile(l.active().file); err != nil {
+			return nil, fmt.Errorf("log: sync recovered state: %w", err)
+		}
+		if l.recoveryPoints {
+			if err := l.persistRecoveryPoint(l.recoveryPointLocked(), l.truncGen); err != nil {
+				return nil, fmt.Errorf("log: write checkpoint: %w", err)
+			}
+		}
+	}
+	l.syncedNext = l.active().nextOffset
+	// Everything recovered is durable (or freshly re-synced above): the
+	// sync-freshness clock starts now.
+	l.lastSyncNano.Store(time.Now().UnixNano())
 	l.startCommitter()
 	return l, nil
 }
@@ -525,9 +538,10 @@ func (l *Log) AppendBatch(batch []byte) error {
 // appendLocked rolls the active segment if needed and writes the batch,
 // then applies the durability policy: SyncBatch syncs inline, SyncGroup
 // kicks the group committer, the rest leave the bytes for the background
-// sync (or the OS). Rolling always syncs the sealed segment first — that is
-// what lets checkpointed recovery trust whole segments below the
-// checkpointed one without rescanning them.
+// sync (or the OS). Rolling always syncs the sealed segment first and makes
+// the new segment's directory entry durable — that is what lets the
+// checkpoint the next sync writes vouch for every sealed segment, so
+// recovery trusts them without rescanning.
 func (l *Log) appendLocked(batch []byte) error {
 	info, err := record.PeekBatchInfo(batch)
 	if err != nil {
@@ -542,7 +556,12 @@ func (l *Log) appendLocked(batch []byte) error {
 		if err != nil {
 			return err
 		}
+		if err := syncDir(l.dir); err != nil {
+			ns.remove()
+			return fmt.Errorf("log: sync dir: %w", err)
+		}
 		l.segments = append(l.segments, ns)
+		l.cpDue = l.recoveryPoints
 		a = ns
 	}
 	if err := a.append(batch, info, l.cfg.IndexIntervalBytes, l.cfg.Tracker); err != nil {
@@ -646,9 +665,10 @@ func (l *Log) OffsetForTimestamp(ts int64) (int64, error) {
 }
 
 // Truncate removes all records at offsets >= offset. Used by followers to
-// reconcile divergent suffixes after leader changes. The persisted
-// checkpoint is invalidated (removed) — its byte positions describe the
-// pre-truncation file — and any acks parked beyond the cut are failed.
+// reconcile divergent suffixes after leader changes. The persisted recovery
+// point is invalidated (removed) — its byte positions describe the
+// pre-truncation file — and the next sync writes a fresh one. Any acks
+// parked beyond the cut are failed.
 func (l *Log) Truncate(offset int64) error {
 	l.mu.Lock()
 	if l.closed {
@@ -678,14 +698,20 @@ func (l *Log) Truncate(offset int64) error {
 		}
 	}
 	l.syncWaiters = kept
+	l.cpDue = l.recoveryPoints
 	l.mu.Unlock()
-	// Remove the now-stale checkpoint outside l.mu (cpMu orders before
-	// l.mu everywhere else). A concurrent syncNow either saw the gen bump
+	// Remove the now-stale recovery point outside l.mu (cpMu orders before
+	// l.mu everywhere else). A concurrent commit either saw the gen bump
 	// and skipped its write, or wrote first and is deleted here — the next
 	// sync rewrites it.
 	l.cpMu.Lock()
 	os.Remove(filepath.Join(l.dir, checkpointFile))
 	os.Remove(filepath.Join(l.dir, producerSnapshotFile))
+	// A removal that a crash undoes would bring back a checkpoint that
+	// trusts bytes the truncate has since let be rewritten.
+	if derr := syncDir(l.dir); err == nil {
+		err = derr
+	}
 	l.cpMu.Unlock()
 	return err
 }
@@ -751,41 +777,9 @@ func (l *Log) EnforceRetention(now time.Time) (int, error) {
 	return deleted, nil
 }
 
-// Flush fsyncs the active segment, advances the durability frontier, and —
-// under an explicit sync policy — persists a checkpoint.
-func (l *Log) Flush() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	a := l.active()
-	f := a.file
-	cp := checkpoint{base: a.baseOffset, pos: a.size, next: a.nextOffset}
-	psnap := l.snapshotProducersLocked()
-	gen := l.truncGen
-	l.dirty = false
-	l.dirtySinceNano.Store(0)
-	l.unsyncedBytes = 0
-	l.mu.Unlock()
-	if err := l.syncFile(f); err != nil {
-		return err
-	}
-	if l.cfg.Durability.Policy != SyncNone {
-		l.persistCheckpoint(cp, gen)
-		l.persistProducerSnapshot(psnap, gen)
-	}
-	l.mu.Lock()
-	if l.truncGen == gen {
-		l.advanceSyncedLocked(cp.next)
-	}
-	l.mu.Unlock()
-	l.lastSyncNano.Store(time.Now().UnixNano())
-	return nil
-}
-
 // Close flushes and closes all segments, stopping the background committer
-// first and persisting a final checkpoint so the next Open skips the scan.
+// first and persisting a final recovery point so the next Open skips the
+// scan.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -802,14 +796,13 @@ func (l *Log) Close() error {
 			first = err
 		}
 	}
-	a := l.active()
-	var cp *checkpoint
-	var psnap []byte
-	if first == nil && l.cfg.Durability.Policy != SyncNone {
-		cp = &checkpoint{base: a.baseOffset, pos: a.size, next: a.nextOffset}
-		psnap = l.snapshotProducersLocked()
+	var rp *recoveryPoint
+	if first == nil && l.recoveryPoints {
+		p := l.recoveryPointLocked()
+		rp = &p
 	}
-	l.advanceSyncedLocked(a.nextOffset)
+	gen := l.truncGen
+	l.advanceSyncedLocked(l.active().nextOffset)
 	l.failSyncWaitersLocked(ErrClosed)
 	for _, s := range l.segments {
 		if err := s.close(); err != nil && first == nil {
@@ -817,11 +810,8 @@ func (l *Log) Close() error {
 		}
 	}
 	l.mu.Unlock()
-	if cp != nil {
-		l.cpMu.Lock()
-		writeCheckpointFile(l.dir, *cp)
-		writeProducerSnapshotFile(l.dir, psnap)
-		l.cpMu.Unlock()
+	if rp != nil {
+		l.persistRecoveryPoint(*rp, gen)
 	}
 	return first
 }
@@ -958,9 +948,9 @@ func (l *Log) ReplaceSegments(oldBases []int64, newSegments [][]byte) error {
 	sort.Slice(l.segments, func(i, j int) bool {
 		return l.segments[i].baseOffset < l.segments[j].baseOffset
 	})
-	// Compaction rewrote segment bytes in place; any checkpoint taken
-	// before this swap must not be persisted (compacted logs also ignore
-	// checkpoints at Open, this is belt-and-braces).
+	// Compaction rewrote segment bytes in place; any recovery point taken
+	// before this swap must not be persisted (compacted logs neither write
+	// nor read recovery points, this is belt-and-braces).
 	l.truncGen++
 	return nil
 }

@@ -164,12 +164,13 @@ func (p *producerState) reset() {
 
 // ------------------------------------------------------------- snapshot
 //
-// The table is snapshotted alongside the durability checkpoint (PR 7): a
-// small binary file recording the log-end offset it covers plus every
-// producer entry. On Open, a valid snapshot seeds the table and only batch
-// headers beyond its coverage are rescanned; without one the whole local log
-// is header-walked. Like the checkpoint, the snapshot is advisory — it is
-// rewritten via tmp+sync+rename and discarded wholesale on any mismatch.
+// The table is snapshotted alongside the durability checkpoint, as one
+// recovery point (see recoveryPoint in durability.go): a small binary file
+// recording the log-end offset it covers plus every producer entry. On Open,
+// a valid snapshot seeds the table and only batch headers beyond its
+// coverage are rescanned; without one the whole local log is header-walked.
+// Like the checkpoint, the snapshot is advisory — it is committed via
+// tmp+sync+rename and discarded wholesale on any mismatch.
 
 const producerSnapshotFile = "producer-state"
 
@@ -255,31 +256,6 @@ func decodeProducerSnapshot(buf []byte) (*producerState, int64, error) {
 	return p, next, nil
 }
 
-// writeProducerSnapshotFile persists the snapshot via tmp+sync+rename, the
-// same crash-safe discipline as the checkpoint file.
-func writeProducerSnapshotFile(dir string, data []byte) error {
-	tmp := filepath.Join(dir, producerSnapshotFile+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, producerSnapshotFile))
-}
-
 // readProducerSnapshotFile loads and validates the snapshot, reporting ok
 // only when it parses and checksums cleanly.
 func readProducerSnapshotFile(dir string) (*producerState, int64, bool) {
@@ -326,26 +302,4 @@ func (l *Log) rebuildProducersLocked(from int64) {
 			data = data[info.Length:]
 		}
 	}
-}
-
-// persistProducerSnapshot writes the snapshot taken under l.mu, honouring
-// the same truncation-generation staleness rule as checkpoints: if segment
-// surgery happened after the snapshot was taken, it no longer describes the
-// log and is skipped (the next sync writes a fresh one).
-func (l *Log) persistProducerSnapshot(data []byte, gen uint64) {
-	l.cpMu.Lock()
-	defer l.cpMu.Unlock()
-	l.mu.RLock()
-	stale := l.truncGen != gen
-	l.mu.RUnlock()
-	if stale {
-		return
-	}
-	writeProducerSnapshotFile(l.dir, data)
-}
-
-// snapshotProducersLocked captures the serialised table; callers pass it to
-// persistProducerSnapshot outside l.mu.
-func (l *Log) snapshotProducersLocked() []byte {
-	return encodeProducerSnapshot(l.producers, l.active().nextOffset)
 }

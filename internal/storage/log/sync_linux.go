@@ -14,3 +14,18 @@ import (
 func fdatasync(f *os.File) error {
 	return syscall.Fdatasync(int(f.Fd()))
 }
+
+// syncDir fsyncs a directory, making the entries created, renamed or
+// removed in it durable: a new segment file or a committed rename is not on
+// disk until its directory is.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

@@ -8,3 +8,6 @@ import "os"
 func fdatasync(f *os.File) error {
 	return f.Sync()
 }
+
+// syncDir is a no-op where directories cannot be opened for fsync portably.
+func syncDir(string) error { return nil }

@@ -90,7 +90,7 @@ func EncodeBatchKeepOffsets(records []Record) []byte {
 	base := records[0].Offset
 	size := batchHeaderLen
 	for i := range records {
-		size += recordSize(&records[i])
+		size += EncodedSize(&records[i])
 	}
 	buf := make([]byte, size)
 

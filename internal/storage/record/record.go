@@ -141,7 +141,7 @@ func EncodeBatchInto(dst []byte, baseOffset int64, records []Record) []byte {
 	}
 	size := batchHeaderLen
 	for i := range records {
-		size += recordSize(&records[i])
+		size += EncodedSize(&records[i])
 	}
 	var buf []byte
 	if cap(dst) >= size {
@@ -177,7 +177,9 @@ func EncodeBatchInto(dst []byte, baseOffset int64, records []Record) []byte {
 	return buf
 }
 
-func recordSize(r *Record) int {
+// EncodedSize returns the bytes r occupies inside an encoded batch: a batch
+// is HeaderLen bytes plus the EncodedSize of each of its records.
+func EncodedSize(r *Record) int {
 	size := 4 + 8 + 4 + len(r.Key) + 4 + len(r.Value) + 4
 	for i := range r.Headers {
 		size += 4 + len(r.Headers[i].Key) + 4 + len(r.Headers[i].Value)
