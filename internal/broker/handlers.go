@@ -409,8 +409,8 @@ func closeFetchRanges(resp *wire.FetchResponse) {
 // collectFetch performs one non-blocking pass over the requested
 // partitions. With zeroCopy set, reads resolve to raw segment file ranges
 // (spliced into the response frame by the wire layer — sendfile on TCP)
-// instead of copies; cold-tier reads and range failures fall back to the
-// buffered path per partition.
+// instead of copies, and cold-tier reads splice the tier cache's immutable
+// bytes; range failures fall back to the buffered path per partition.
 func (b *Broker) collectFetch(req *wire.FetchRequest, isFollower, zeroCopy bool) (*wire.FetchResponse, int, bool) {
 	resp := &wire.FetchResponse{}
 	total := 0
@@ -441,7 +441,7 @@ func (b *Broker) collectFetch(req *wire.FetchRequest, isFollower, zeroCopy bool)
 			var rng *log.SegmentRange
 			var hw, start int64
 			var code wire.ErrorCode
-			served := false
+			served, cold := false, false
 			if zeroCopy {
 				if isFollower {
 					rng, hw, start, code, served = r.readRangeForFollower(p.Offset, maxBytes)
@@ -453,7 +453,7 @@ func (b *Broker) collectFetch(req *wire.FetchRequest, isFollower, zeroCopy bool)
 				if isFollower {
 					data, hw, start, code = r.readForFollower(p.Offset, maxBytes)
 				} else {
-					data, hw, start, code = r.readForConsumer(p.Offset, maxBytes)
+					data, cold, hw, start, code = r.readConsumer(p.Offset, maxBytes)
 				}
 			}
 			if isFollower && code == wire.ErrNone {
@@ -464,14 +464,26 @@ func (b *Broker) collectFetch(req *wire.FetchRequest, isFollower, zeroCopy bool)
 			rp.Err = code
 			rp.HighWatermark = hw
 			rp.LogStartOffset = start
-			if rng != nil {
+			switch {
+			case rng != nil:
 				rp.RecordsRange = rng
 				total += int(rng.Len())
 				b.cfg.Metrics.Counter("broker.fetch.splice.bytes").Add(rng.Len())
 				if b.met != nil {
 					b.met.fetchServed.With("splice").Inc()
 				}
-			} else {
+			case cold && zeroCopy && data != nil:
+				// Cold bytes are an immutable slice of the tier's cached
+				// segment reader: splice them into the frame rather than
+				// copy them through the encode buffer. They are not
+				// sendfile bytes, so broker.fetch.splice.bytes (hot
+				// segment bytes only) does not count them.
+				rp.RecordsRange = wire.MemRange(data)
+				total += len(data)
+				if b.met != nil {
+					b.met.fetchServed.With("cold").Inc()
+				}
+			default:
 				rp.Records = data
 				total += len(data)
 				if b.met != nil && len(data) > 0 {

@@ -48,7 +48,8 @@ type brokerMetrics struct {
 	apiBytesIn  *metrics.CounterFamily   // broker.api.bytes.in{api}
 	apiErrors   *metrics.CounterFamily   // broker.api.errors{api,code}
 
-	// Fetch service path: zero-copy splice vs buffered re-encode.
+	// Fetch service path: hot segment splice, cold tier-cache splice, or
+	// buffered copy.
 	fetchServed *metrics.CounterFamily // broker.fetch.served{path}
 
 	// Gauge families rebuilt each opsTick. Every tuple carries this

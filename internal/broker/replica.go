@@ -491,20 +491,28 @@ func (r *replica) snapshotState() (leader int32, epoch int32, isr []int32, isLea
 // an out-of-range response tells the client exactly where auto-reset may
 // resume instead of making it guess.
 func (r *replica) readForConsumer(offset int64, maxBytes int) ([]byte, int64, int64, wire.ErrorCode) {
+	data, _, hw, earliest, code := r.readConsumer(offset, maxBytes)
+	return data, hw, earliest, code
+}
+
+// readConsumer is readForConsumer that also reports whether the data came
+// from the cold tier. Cold data is a slice of the tier's cached segment
+// reader, immutable for as long as anyone holds it.
+func (r *replica) readConsumer(offset int64, maxBytes int) (data []byte, cold bool, hw, earliest int64, code wire.ErrorCode) {
 	r.mu.Lock()
-	hw := r.hw
+	hw = r.hw
 	isLeader := r.isLeader
 	closed := r.closed
 	t := r.tier
 	r.mu.Unlock()
 	if closed {
-		return nil, 0, 0, wire.ErrBrokerNotAvailable
+		return nil, false, 0, 0, wire.ErrBrokerNotAvailable
 	}
 	if !isLeader {
-		return nil, 0, 0, wire.ErrNotLeaderForPartition
+		return nil, false, 0, 0, wire.ErrNotLeaderForPartition
 	}
 	start := r.log.StartOffset()
-	earliest := start
+	earliest = start
 	if t != nil {
 		if e, ok := t.Earliest(); ok && e < earliest {
 			earliest = e
@@ -517,33 +525,33 @@ func (r *replica) readForConsumer(offset int64, maxBytes int) ([]byte, int64, in
 		data, err := t.Read(offset, maxBytes)
 		switch {
 		case err == nil:
-			return data, hw, earliest, wire.ErrNone
+			return data, true, hw, earliest, wire.ErrNone
 		case errors.Is(err, tier.ErrOffsetBelowTier):
-			return nil, hw, earliest, wire.ErrOffsetOutOfRange
+			return nil, false, hw, earliest, wire.ErrOffsetOutOfRange
 		case errors.Is(err, tier.ErrNotCovered):
 			// Between the offload frontier and the local start there is
 			// no data on either tier; contiguity makes this unreachable
 			// unless the manifest lags a concurrent reload — have the
 			// client retry via out-of-range with the true earliest.
-			return nil, hw, earliest, wire.ErrOffsetOutOfRange
+			return nil, false, hw, earliest, wire.ErrOffsetOutOfRange
 		default:
-			return nil, hw, earliest, wire.ErrUnknown
+			return nil, false, hw, earliest, wire.ErrUnknown
 		}
 	}
 	if offset < earliest || offset > hw {
 		if offset >= hw && offset <= r.log.NextOffset() {
-			return nil, hw, earliest, wire.ErrNone // caught up: empty fetch
+			return nil, false, hw, earliest, wire.ErrNone // caught up: empty fetch
 		}
-		return nil, hw, earliest, wire.ErrOffsetOutOfRange
+		return nil, false, hw, earliest, wire.ErrOffsetOutOfRange
 	}
 	data, err := r.log.Read(offset, maxBytes)
 	if err != nil {
-		return nil, hw, earliest, wire.ErrUnknown
+		return nil, false, hw, earliest, wire.ErrUnknown
 	}
 	// Serve only batches fully below the high watermark. Batch boundaries
 	// align with HW because replication moves whole batches.
 	data = data[:visibleBatches(data, hw)]
-	return data, hw, earliest, wire.ErrNone
+	return data, false, hw, earliest, wire.ErrNone
 }
 
 // readForFollower reads up to the log end (followers replicate uncommitted

@@ -16,8 +16,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -360,7 +362,8 @@ func (fs *FS) Open(path string) (*Reader, error) {
 	return &Reader{fs: fs, chunks: chunks, size: meta.size}, nil
 }
 
-// ReadFile returns a file's full contents.
+// ReadFile returns a file's full contents. Each chunk file is read straight
+// into the output, which is allocated once at the file's size.
 func (fs *FS) ReadFile(path string) ([]byte, error) {
 	r, err := fs.Open(path)
 	if err != nil {
@@ -368,17 +371,38 @@ func (fs *FS) ReadFile(path string) ([]byte, error) {
 	}
 	defer r.Close()
 	out := make([]byte, 0, r.size)
-	buf := make([]byte, fs.cfg.ChunkBytes)
-	for {
-		n, err := r.Read(buf)
-		out = append(out, buf[:n]...)
-		if err != nil {
-			if errors.Is(err, errEOF) {
-				return out, nil
-			}
+	for _, c := range r.chunks {
+		if out, err = fs.readChunk(c, out); err != nil {
 			return out, err
 		}
 	}
+	return out, nil
+}
+
+// readChunk appends one chunk file's bytes to dst, growing it only when the
+// chunk does not fit its spare capacity, and charges the read to the cost
+// model and the stats.
+func (fs *FS) readChunk(name string, dst []byte) ([]byte, error) {
+	f, err := os.Open(fs.chunkPath(name))
+	if err != nil {
+		return dst, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return dst, err
+	}
+	n := int(fi.Size())
+	dst = slices.Grow(dst, n)
+	if _, err := io.ReadFull(f, dst[len(dst):len(dst)+n]); err != nil {
+		return dst, fmt.Errorf("dfs: read chunk %s: %w", name, err)
+	}
+	fs.cfg.Cost.chargeRead(int64(n))
+	fs.mu.Lock()
+	fs.stats.BytesRead += int64(n)
+	fs.stats.ChunksRead++
+	fs.mu.Unlock()
+	return dst[:len(dst)+n], nil
 }
 
 // List returns files whose paths start with prefix, sorted.
@@ -614,16 +638,11 @@ func (r *Reader) Read(p []byte) (int, error) {
 		if r.idx >= len(r.chunks) {
 			return 0, errEOF
 		}
-		data, err := os.ReadFile(r.fs.chunkPath(r.chunks[r.idx]))
+		data, err := r.fs.readChunk(r.chunks[r.idx], nil)
 		if err != nil {
 			return 0, err
 		}
 		r.idx++
-		r.fs.cfg.Cost.chargeRead(int64(len(data)))
-		r.fs.mu.Lock()
-		r.fs.stats.BytesRead += int64(len(data))
-		r.fs.stats.ChunksRead++
-		r.fs.mu.Unlock()
 		r.cur = data
 	}
 	n := copy(p, r.cur)

@@ -3,6 +3,8 @@ package dfs
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -275,5 +277,103 @@ func TestNamenodePersistsAcrossReopen(t *testing.T) {
 	got, err = fs2.ReadFile("/keep/a")
 	if err != nil || string(got) != "alpha" {
 		t.Fatalf("old file damaged by new writes: %q, %v", got, err)
+	}
+}
+
+func TestReadFileMultiChunkChargesEachChunk(t *testing.T) {
+	var mu sync.Mutex
+	var slept time.Duration
+	cost := CostModel{
+		MetadataOp:    time.Millisecond,
+		ChunkAccess:   time.Millisecond,
+		ReadBandwidth: 1000, // bytes/s: 1 ms per byte
+		Sleep: func(d time.Duration) {
+			mu.Lock()
+			slept += d
+			mu.Unlock()
+		},
+	}
+	fs := openFS(t, Config{ChunkBytes: 100, Cost: cost})
+	data := make([]byte, 350) // 4 chunks: 100+100+100+50
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	if err := fs.WriteFile("/f", data); err != nil {
+		t.Fatal(err)
+	}
+	before := fs.Stats()
+	mu.Lock()
+	slept = 0
+	mu.Unlock()
+	got, err := fs.ReadFile("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatalf("read %d bytes, not the %d written", len(got), len(data))
+	}
+	if len(got) != cap(got) {
+		t.Fatalf("output cap %d, want exactly the file size %d", cap(got), len(got))
+	}
+	after := fs.Stats()
+	if d := after.BytesRead - before.BytesRead; d != 350 {
+		t.Fatalf("BytesRead grew %d, want 350", d)
+	}
+	if d := after.ChunksRead - before.ChunksRead; d != 4 {
+		t.Fatalf("ChunksRead grew %d, want 4", d)
+	}
+	if d := after.MetadataOps - before.MetadataOps; d != 1 {
+		t.Fatalf("MetadataOps grew %d, want 1 (the open)", d)
+	}
+	mu.Lock()
+	charged := slept
+	mu.Unlock()
+	// One open, four chunk accesses, 350 bytes at 1 ms each.
+	if want := time.Millisecond + 4*time.Millisecond + 350*time.Millisecond; charged != want {
+		t.Fatalf("charged %v, want %v", charged, want)
+	}
+
+	// The streaming reader counts the same chunks and bytes.
+	r, err := fs.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var streamed []byte
+	buf := make([]byte, 64)
+	for {
+		n, err := r.Read(buf)
+		streamed = append(streamed, buf[:n]...)
+		if IsEOF(err) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(streamed, data) {
+		t.Fatalf("streamed %d bytes, not the %d written", len(streamed), len(data))
+	}
+	final := fs.Stats()
+	if final.BytesRead-after.BytesRead != 350 || final.ChunksRead-after.ChunksRead != 4 {
+		t.Fatalf("streaming read stats grew %d bytes / %d chunks, want 350 / 4",
+			final.BytesRead-after.BytesRead, final.ChunksRead-after.ChunksRead)
+	}
+}
+
+func TestReadFileMissingChunkFails(t *testing.T) {
+	fs := openFS(t, Config{ChunkBytes: 100})
+	if err := fs.WriteFile("/f", bytes.Repeat([]byte("x"), 250)); err != nil {
+		t.Fatal(err)
+	}
+	chunks, err := os.ReadDir(filepath.Join(fs.cfg.Dir, "chunks"))
+	if err != nil || len(chunks) != 3 {
+		t.Fatalf("chunk files: %d, %v", len(chunks), err)
+	}
+	if err := os.Remove(filepath.Join(fs.cfg.Dir, "chunks", chunks[1].Name())); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.ReadFile("/f"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("read with a missing chunk: %v, want a not-exist error", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
@@ -197,5 +198,73 @@ func TestParseExpositionLabels(t *testing.T) {
 	}
 	if len(samples) != 1 || samples[0].Label("topic") != `a"b` || samples[0].Label("partition") != "3" || samples[0].Value != 42 {
 		t.Fatalf("parse wrong: %+v", samples)
+	}
+}
+
+func TestSlowLogDropsExpiredOnEveryCall(t *testing.T) {
+	now := time.Unix(1000, 0)
+	fresh := func() *SlowLog {
+		sl := NewSlowLog(1, time.Minute)
+		sl.now = func() time.Time { return now }
+		sl.Observe(SlowLogEntry{API: "old", Duration: time.Second})
+		now = now.Add(2 * time.Minute)
+		return sl
+	}
+	if n := fresh().Len(); n != 0 {
+		t.Fatalf("Len kept %d expired entries", n)
+	}
+	if got := fresh().Slowest(); len(got) != 0 {
+		t.Fatalf("Slowest kept expired entries: %+v", got)
+	}
+	// The log is full with a slower entry: only expiring it in Observe
+	// makes room for the faster newcomer.
+	sl := fresh()
+	sl.Observe(SlowLogEntry{API: "new", Duration: time.Millisecond})
+	if got := sl.Slowest(); len(got) != 1 || got[0].API != "new" {
+		t.Fatalf("Observe kept the expired entry: %+v", got)
+	}
+}
+
+func TestSlowLogMatchesFullScanModel(t *testing.T) {
+	// The reference: expire and scan for the fastest entry on every call.
+	const capacity, window = 8, time.Minute
+	var model []SlowLogEntry
+	observe := func(e SlowLogEntry, now time.Time) {
+		kept := model[:0]
+		for _, m := range model {
+			if m.At.After(now.Add(-window)) {
+				kept = append(kept, m)
+			}
+		}
+		model = kept
+		if len(model) < capacity {
+			model = append(model, e)
+			return
+		}
+		minIdx := 0
+		for i := range model {
+			if model[i].Duration < model[minIdx].Duration {
+				minIdx = i
+			}
+		}
+		if e.Duration > model[minIdx].Duration {
+			model[minIdx] = e
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	now := time.Unix(1000, 0)
+	sl := NewSlowLog(capacity, window)
+	sl.now = func() time.Time { return now }
+	for i := 0; i < 5000; i++ {
+		now = now.Add(time.Duration(rng.Intn(4000)) * time.Millisecond)
+		e := SlowLogEntry{API: fmt.Sprint(i), Duration: time.Duration(rng.Intn(20)) * time.Millisecond, At: now}
+		if rng.Intn(4) == 0 {
+			e.At = now.Add(-time.Duration(rng.Intn(90)) * time.Second) // caller-stamped, maybe stale
+		}
+		sl.Observe(e)
+		observe(e, now)
+		if fmt.Sprint(sl.entries) != fmt.Sprint(model) {
+			t.Fatalf("observation %d: log %v, model %v", i, sl.entries, model)
+		}
 	}
 }

@@ -18,15 +18,22 @@ type SlowLogEntry struct {
 
 // SlowLog keeps a bounded set of the slowest recent requests. Capacity
 // bounds memory; once full, a new observation only enters by displacing the
-// current fastest entry, and Slowest drops entries older than the window so
+// current fastest entry, and entries older than the window are dropped so
 // the log reflects recent behaviour rather than all-time records. Note that
 // long-poll fetches legitimately dominate: their duration includes the
 // configured wait budget, same as Kafka's request logs.
+//
+// Observe is on every request's path, so the log tracks its oldest
+// timestamp and its fastest entry: it expires only once the oldest entry
+// has left the window, and a full log turns away a request no slower than
+// its fastest entry in O(1).
 type SlowLog struct {
 	mu      sync.Mutex
 	cap     int
 	window  time.Duration
 	entries []SlowLogEntry
+	oldest  time.Time // earliest At among entries; meaningless when empty
+	fastest int       // index of the shortest Duration; meaningless when empty
 	now     func() time.Time
 }
 
@@ -46,29 +53,36 @@ func NewSlowLog(capacity int, window time.Duration) *SlowLog {
 func (s *SlowLog) Observe(e SlowLogEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	now := s.now()
 	if e.At.IsZero() {
-		e.At = s.now()
+		e.At = now
 	}
-	s.expireLocked(s.now())
+	s.expireLocked(now)
 	if len(s.entries) < s.cap {
 		s.entries = append(s.entries, e)
+		if len(s.entries) == 1 || e.At.Before(s.oldest) {
+			s.oldest = e.At
+		}
+		if e.Duration < s.entries[s.fastest].Duration {
+			s.fastest = len(s.entries) - 1
+		}
 		return
 	}
 	// Full: displace the fastest entry if this one is slower.
-	minIdx := 0
-	for i := 1; i < len(s.entries); i++ {
-		if s.entries[i].Duration < s.entries[minIdx].Duration {
-			minIdx = i
-		}
+	if e.Duration <= s.entries[s.fastest].Duration {
+		return
 	}
-	if e.Duration > s.entries[minIdx].Duration {
-		s.entries[minIdx] = e
-	}
+	s.entries[s.fastest] = e
+	s.rescanLocked()
 }
 
-// expireLocked drops entries older than the window.
+// expireLocked drops entries older than the window, once the oldest one
+// has left it.
 func (s *SlowLog) expireLocked(now time.Time) {
 	cutoff := now.Add(-s.window)
+	if len(s.entries) == 0 || s.oldest.After(cutoff) {
+		return
+	}
 	kept := s.entries[:0]
 	for _, e := range s.entries {
 		if e.At.After(cutoff) {
@@ -76,6 +90,20 @@ func (s *SlowLog) expireLocked(now time.Time) {
 		}
 	}
 	s.entries = kept
+	s.rescanLocked()
+}
+
+// rescanLocked recomputes the oldest timestamp and the fastest entry.
+func (s *SlowLog) rescanLocked() {
+	s.fastest = 0
+	for i, e := range s.entries {
+		if i == 0 || e.At.Before(s.oldest) {
+			s.oldest = e.At
+		}
+		if e.Duration < s.entries[s.fastest].Duration {
+			s.fastest = i
+		}
+	}
 }
 
 // Slowest returns the retained entries, slowest first.

@@ -136,3 +136,28 @@ func BenchmarkDecodeCompressedBatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecompressRaw inflates a 1 MiB flate region of batch-like
+// records (repeated keys, varied values) back to its original bytes.
+func BenchmarkDecompressRaw(b *testing.B) {
+	var raw []byte
+	for i := 0; len(raw) < 1<<20; i++ {
+		raw = append(raw, EncodeBatch(int64(i), []Record{{
+			Timestamp: int64(1000 + i),
+			Key:       []byte(fmt.Sprintf("key-%d", i%64)),
+			Value:     []byte(fmt.Sprintf("value-%d-%x", i, i*2654435761)),
+		}})...)
+	}
+	z, err := CompressRaw(CodecFlate, raw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(raw)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecompressRaw(CodecFlate, z); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

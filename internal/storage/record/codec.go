@@ -173,15 +173,38 @@ func decompressBody(codec Codec, body []byte) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown codec %d", ErrCorrupt, codec)
 	}
-	out, err := io.ReadAll(io.LimitReader(r, maxInflatedBody+1))
+	out, err := inflate(r, len(body))
 	release()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, codec, err)
 	}
-	if len(out) > maxInflatedBody {
-		return nil, fmt.Errorf("%w: %s: inflates beyond %d bytes", ErrCorrupt, codec, maxInflatedBody)
-	}
 	return out, nil
+}
+
+// inflate reads r to EOF into a buffer first sized from the compressed
+// length (incompressible data inflates to about its compressed size) and
+// doubled whenever it fills, so a region costs a handful of allocations
+// rather than a long chain of small growths. Reading stops with an error
+// once the output would exceed maxInflatedBody.
+func inflate(r io.Reader, compressedLen int) ([]byte, error) {
+	out := make([]byte, 0, min(compressedLen+512, maxInflatedBody+1))
+	for {
+		if len(out) == cap(out) {
+			grown := make([]byte, len(out), min(2*cap(out), maxInflatedBody+1))
+			copy(grown, out)
+			out = grown
+		}
+		n, err := r.Read(out[len(out):cap(out)])
+		out = out[:len(out)+n]
+		switch {
+		case len(out) > maxInflatedBody:
+			return nil, fmt.Errorf("inflates beyond %d bytes", maxInflatedBody)
+		case err == io.EOF:
+			return out, nil
+		case err != nil:
+			return nil, err
+		}
+	}
 }
 
 // CompressRaw compresses an arbitrary byte region with the given codec,

@@ -2,7 +2,9 @@ package record
 
 import (
 	"bytes"
+	"compress/flate"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -250,5 +252,52 @@ func TestValidateBatchRejectsStructuralCorruption(t *testing.T) {
 		if _, err := ValidateBatch(bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: structurally corrupt batch accepted: %v", codec, err)
 		}
+	}
+}
+
+func TestDecompressRawGrowsPastEstimate(t *testing.T) {
+	// ~1 MiB of repetitive text deflates to a few KiB, so inflating it
+	// doubles the compressed-length estimate many times over.
+	var raw bytes.Buffer
+	for i := 0; raw.Len() < 1<<20; i++ {
+		fmt.Fprintf(&raw, "record %d of a highly repetitive region; ", i%100)
+	}
+	for _, codec := range []Codec{CodecGzip, CodecFlate} {
+		z, err := CompressRaw(codec, raw.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if 8*len(z) > raw.Len() {
+			t.Fatalf("%s: %d bytes compress to %d; want a ratio above 8", codec, raw.Len(), len(z))
+		}
+		got, err := DecompressRaw(codec, z)
+		if err != nil {
+			t.Fatalf("%s: %v", codec, err)
+		}
+		if !bytes.Equal(got, raw.Bytes()) {
+			t.Fatalf("%s: round trip returned %d bytes, want %d", codec, len(got), raw.Len())
+		}
+	}
+}
+
+func TestDecompressRawRejectsDeflateBomb(t *testing.T) {
+	// Stream one byte more than maxInflatedBody of zeros through the
+	// compressor: a tiny region that would inflate past the bound.
+	var z bytes.Buffer
+	w, err := flate.NewWriter(&z, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]byte, 1<<20)
+	for left := maxInflatedBody + 1; left > 0; left -= len(zeros) {
+		if _, err := w.Write(zeros[:min(left, len(zeros))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecompressRaw(CodecFlate, z.Bytes()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("bomb of %d compressed bytes: err = %v, want ErrCorrupt", z.Len(), err)
 	}
 }

@@ -304,56 +304,79 @@ func (p *Partition) hydrate(info SegmentInfo) (*segReader, error) {
 
 // buildSegReader re-encodes archived records as wire record batches with
 // their original offsets and timestamps, splitting on any offset gap (the
-// batch codec assigns consecutive offsets from a base).
+// batch codec assigns consecutive offsets from a base). A sizing pass cuts
+// the batches first, so the encoded bytes, the index and the batch scratch
+// are each allocated once at their final size and every batch is encoded
+// in place.
 func buildSegReader(info SegmentInfo, recs []archive.Record) (*segReader, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("tier: empty cold segment %s", info.Path)
 	}
-	r := &segReader{path: info.Path, base: recs[0].Offset, last: recs[len(recs)-1].Offset}
-	var batch []record.Record
-	var batchBytes int
-	var first int64
-	flush := func() {
-		if len(batch) == 0 {
-			return
+	batches, total, widest := 0, 0, 0
+	for rest := recs; len(rest) > 0; {
+		n, size := coldBatch(rest)
+		batches++
+		total += size
+		widest = max(widest, n)
+		rest = rest[n:]
+	}
+	r := &segReader{
+		path:  info.Path,
+		base:  recs[0].Offset,
+		last:  recs[len(recs)-1].Offset,
+		data:  make([]byte, total),
+		index: make([]batchIdx, 0, batches),
+	}
+	batch := make([]record.Record, widest)
+	pos := 0
+	for rest := recs; len(rest) > 0; {
+		n, size := coldBatch(rest)
+		for i := range rest[:n] {
+			batch[i] = wireRecord(&rest[i])
 		}
-		pos := len(r.data)
-		r.data = append(r.data, record.EncodeBatch(first, batch)...)
+		first := rest[0].Offset
+		record.EncodeBatchInto(r.data[pos:pos:pos+size], first, batch[:n])
 		r.index = append(r.index, batchIdx{
 			firstOffset: first,
-			lastOffset:  first + int64(len(batch)) - 1,
+			lastOffset:  first + int64(n) - 1,
 			pos:         pos,
-			length:      len(r.data) - pos,
+			length:      size,
 		})
-		batch = batch[:0]
-		batchBytes = 0
+		pos += size
+		rest = rest[n:]
 	}
-	for i := range recs {
-		a := &recs[i]
-		if len(batch) == 0 {
-			first = a.Offset
-		} else if a.Offset != first+int64(len(batch)) {
-			flush()
-			first = a.Offset
-		}
-		batch = append(batch, record.Record{
-			Timestamp: a.Timestamp,
-			Key:       a.Key,
-			Value:     a.Value,
-			Headers:   a.Headers,
-		})
-		batchBytes += len(a.Key) + len(a.Value) + 64
-		if batchBytes >= coldBatchBytes {
-			flush()
-		}
-	}
-	flush()
 	return r, nil
+}
+
+// coldBatch cuts the batch that starts at recs[0]: consecutive offsets,
+// closed once its records' key and value bytes (plus 64 per record) reach
+// coldBatchBytes. It returns the record count and the encoded batch size.
+func coldBatch(recs []archive.Record) (n, size int) {
+	size = record.HeaderLen
+	budget := 0
+	for n < len(recs) && recs[n].Offset == recs[0].Offset+int64(n) {
+		wr := wireRecord(&recs[n])
+		size += record.EncodedSize(&wr)
+		budget += len(recs[n].Key) + len(recs[n].Value) + 64
+		n++
+		if budget >= coldBatchBytes {
+			break
+		}
+	}
+	return n, size
+}
+
+// wireRecord is an archived record as the batch codec takes it; the codec
+// assigns offsets from the batch base, so Offset is left unset.
+func wireRecord(a *archive.Record) record.Record {
+	return record.Record{Timestamp: a.Timestamp, Key: a.Key, Value: a.Value, Headers: a.Headers}
 }
 
 // OffsetForTimestamp returns the offset of the first tiered record whose
 // timestamp is at or after ts; ok is false when no tiered record qualifies
-// (the hot log should be consulted instead).
+// (the hot log should be consulted instead). Within a hydrated segment it
+// skips whole batches by their header's max timestamp and decodes only the
+// first batch that can hold a qualifying record.
 func (p *Partition) OffsetForTimestamp(ts int64) (int64, bool, error) {
 	man := p.manifest()
 	for _, info := range man.Segments {
@@ -364,19 +387,24 @@ func (p *Partition) OffsetForTimestamp(ts int64) (int64, bool, error) {
 		if err != nil {
 			return 0, false, err
 		}
-		// Scan the hydrated batches for the first qualifying record.
-		found := int64(-1)
-		err = record.ScanRecords(r.data, func(rec record.Record) error {
-			if rec.Timestamp >= ts && found == -1 {
-				found = rec.Offset
+		for _, ix := range r.index {
+			raw := r.data[ix.pos : ix.pos+ix.length]
+			bi, err := record.PeekBatchInfo(raw)
+			if err != nil {
+				return 0, false, err
 			}
-			return nil
-		})
-		if err != nil {
-			return 0, false, err
-		}
-		if found >= 0 {
-			return found, true, nil
+			if bi.MaxTimestamp < ts {
+				continue
+			}
+			b, _, err := record.DecodeBatch(raw)
+			if err != nil {
+				return 0, false, err
+			}
+			for _, rec := range b.Records {
+				if rec.Timestamp >= ts {
+					return rec.Offset, true, nil
+				}
+			}
 		}
 	}
 	return 0, false, nil

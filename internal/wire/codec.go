@@ -44,6 +44,20 @@ type ByteRange interface {
 	WriteTo(w io.Writer) (int64, error)
 }
 
+// MemRange is an in-memory ByteRange: an immutable byte slice spliced into
+// the frame by a single Write instead of being copied through the encode
+// buffer. The slice must not change until the frame is written.
+type MemRange []byte
+
+// Len implements ByteRange.
+func (m MemRange) Len() int64 { return int64(len(m)) }
+
+// WriteTo implements ByteRange.
+func (m MemRange) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(m)
+	return int64(n), err
+}
+
 // Bytes returns the encoded bytes accumulated so far. A writer carrying
 // pending splices returns only the buffered part; splices are understood
 // solely by the framed write path (WriteResponseFrame).
